@@ -7,22 +7,14 @@
 // and a rule set padded with realistic multi-KB rule bodies that never
 // match (the worst case for an unmemoized matcher).
 //
-// Configurations:
-//   single-mutex-nocache   ConcurrentOakServer, match cache disabled — the
-//                          pre-sharding seed behavior, the legacy baseline
-//                          (run at the top thread count only).
-//   sharded-{1,4,8,16}     ShardedOakServer with the per-shard match cache
-//                          and the batched ingest queue, swept over
-//                          {1,2,4,8} client threads (the matrix).
-//   sharded-8-direct       queue disabled (one lock acquisition per
-//                          request) at the top thread count — isolates what
-//                          batching buys.
+// Configurations: sharded-{1,4,8,16} — ShardedOakServer with the per-shard
+// match cache (one shard-lock acquisition per request), swept over
+// {1,2,4,8} client threads (the matrix).
 //
 // Every cell is best-of-REPS wall time. Emits BENCH_concurrency.json with
-// the matrix, the merged obs snapshot of the acceptance configuration
-// (including oak_ingest_queue_* health), and three acceptance gates:
+// the matrix, the merged obs snapshot of the acceptance configuration, and
+// two acceptance gates:
 //
-//   legacy      sharded-8 >= 3x the single-mutex baseline (top threads);
 //   multicore   sharded-8 >= 3x sharded-1 at 8 threads — enforced only
 //               when the host has >= 4 real cores (scaling needs cores;
 //               on fewer the gate is recorded as skipped);
@@ -37,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/concurrent_server.h"
 #include "core/sharded_server.h"
 #include "http/cookies.h"
 #include "util/rng.h"
@@ -148,26 +139,19 @@ struct Workload {
 
 struct RunResult {
   std::string config;
-  std::size_t shards = 0;  // 0 = single-mutex baseline
+  std::size_t shards = 0;
   int threads = 0;
   double seconds = 0.0;
   double reports_per_sec = 0.0;
   double memo_hit_rate = 0.0;
   double script_hit_rate = 0.0;
   std::uint64_t contentions = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t backpressure = 0;
-
-  double mean_batch() const {
-    return batches == 0 ? 0.0 : double(enqueued) / double(batches);
-  }
 };
 
 // Drive `threads` client threads, each POSTing `reports` reports under its
-// own user id, against any server exposing handle(). Returns wall seconds.
-template <typename ServerT>
-double drive(ServerT& server, const Workload& w, int threads, int reports) {
+// own user id. Returns wall seconds.
+double drive(core::ShardedOakServer& server, const Workload& w, int threads,
+             int reports) {
   std::vector<std::thread> pool;
   const auto start = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
@@ -199,45 +183,16 @@ double drive(ServerT& server, const Workload& w, int threads, int reports) {
 // caches instead of one).
 constexpr int kWarmup = 100;
 
-RunResult run_baseline(int threads, int reports) {
-  RunResult best;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Workload w;
-    core::OakConfig cfg;
-    cfg.matcher.enable_cache = false;  // the seed's matcher: no memoization
-    core::ConcurrentOakServer server(w.universe, "busy.com", cfg);
-    for (auto& r : build_rules()) server.add_rule(std::move(r));
-    RunResult res;
-    res.config = "single-mutex-nocache";
-    res.threads = threads;
-    // No cache to warm, but keep the phases symmetric with the sharded runs
-    // (profiles exist, rules activated) so the timed windows compare alike.
-    drive(server, w, threads, std::min(kWarmup, 10));
-    res.seconds = drive(server, w, threads, reports);
-    res.reports_per_sec = double(threads) * reports / res.seconds;
-    if (rep == 0 || res.reports_per_sec > best.reports_per_sec) best = res;
-  }
-  return best;
-}
-
-std::uint64_t counter_or_zero(const obs::MetricsSnapshot& snap,
-                              const std::string& name) {
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
 RunResult run_sharded(std::size_t shards, int threads, int reports,
-                      bool queue_enabled, util::Json* metrics_out = nullptr) {
+                      util::Json* metrics_out = nullptr) {
   RunResult best;
   for (int rep = 0; rep < kReps; ++rep) {
     Workload w;
-    core::OakConfig cfg;
-    cfg.ingest_queue.enabled = queue_enabled;
-    core::ShardedOakServer server(w.universe, "busy.com", cfg, shards);
+    core::ShardedOakServer server(w.universe, "busy.com", core::OakConfig{},
+                                  shards);
     server.add_rules(build_rules());
     RunResult res;
-    res.config = "sharded-" + std::to_string(shards) +
-                 (queue_enabled ? "" : "-direct");
+    res.config = "sharded-" + std::to_string(shards);
     res.shards = shards;
     res.threads = threads;
     drive(server, w, threads, kWarmup);  // warm per-shard memos, untimed
@@ -247,23 +202,19 @@ RunResult run_sharded(std::size_t shards, int threads, int reports,
     res.memo_hit_rate = cache.memo_hit_rate();
     res.script_hit_rate = cache.script_hit_rate();
     res.contentions = server.shard_stats().contentions;
-    const obs::MetricsSnapshot snap = server.metrics_snapshot();
-    res.enqueued = counter_or_zero(snap, "oak_ingest_enqueued_total");
-    res.batches = counter_or_zero(snap, "oak_ingest_batches_total");
-    res.backpressure = counter_or_zero(snap, "oak_ingest_backpressure_total");
     const bool better =
         rep == 0 || res.reports_per_sec > best.reports_per_sec;
     if (better) {
       best = res;
-      // Merged per-shard obs snapshot: stage latency histograms plus the
-      // ingest-queue health counters for exactly the traffic this run timed.
+      // Merged per-shard obs snapshot: stage latency histograms and
+      // serving-plane counters for exactly the traffic this run timed.
       if (metrics_out != nullptr) *metrics_out = server.metrics_json();
     }
   }
   return best;
 }
 
-util::Json run_to_json(const RunResult& r, int reports, double rel_to) {
+util::Json run_to_json(const RunResult& r, int reports) {
   util::JsonObject o;
   o["config"] = r.config;
   o["shards"] = r.shards;
@@ -271,23 +222,16 @@ util::Json run_to_json(const RunResult& r, int reports, double rel_to) {
   o["reports_per_thread"] = reports;
   o["seconds"] = r.seconds;
   o["reports_per_sec"] = r.reports_per_sec;
-  if (rel_to > 0.0) o["speedup_vs_baseline"] = r.reports_per_sec / rel_to;
   o["memo_hit_rate"] = r.memo_hit_rate;
   o["script_cache_hit_rate"] = r.script_hit_rate;
   o["shard_contentions"] = r.contentions;
-  o["queue_enqueued"] = r.enqueued;
-  o["queue_batches"] = r.batches;
-  o["queue_mean_batch"] = r.mean_batch();
-  o["queue_backpressure"] = r.backpressure;
   return util::Json(std::move(o));
 }
 
 void print_run(const RunResult& r) {
-  std::printf("%-18s %3dT %10.3f %12.0f %9.1f%% %11.1f %12llu %12llu\n",
-              r.config.c_str(), r.threads, r.seconds, r.reports_per_sec,
-              100.0 * r.memo_hit_rate, r.mean_batch(),
-              static_cast<unsigned long long>(r.contentions),
-              static_cast<unsigned long long>(r.backpressure));
+  std::printf("%-12s %3dT %10.3f %12.0f %9.1f%% %12llu\n", r.config.c_str(),
+              r.threads, r.seconds, r.reports_per_sec, 100.0 * r.memo_hit_rate,
+              static_cast<unsigned long long>(r.contentions));
 }
 
 }  // namespace
@@ -306,43 +250,27 @@ int main(int argc, char** argv) {
               "filler), best of %d, %u core(s)\n\n",
               reports, 4 + kFillerRules, kFillerRules, kFillerBytes / 1024,
               kReps, cores);
-  std::printf("%-18s %4s %10s %12s %10s %11s %12s %12s\n", "config", "thr",
-              "seconds", "reports/s", "memo-hit", "mean-batch", "contentions",
-              "backpressure");
-
-  // Legacy baseline (top thread count only; it is ~20x slower per report).
-  const RunResult baseline = run_baseline(max_threads, reports);
-  print_run(baseline);
+  std::printf("%-12s %4s %10s %12s %10s %12s\n", "config", "thr", "seconds",
+              "reports/s", "memo-hit", "contentions");
 
   // The matrix. rps[threads][shards] drives the gates below.
   std::vector<RunResult> matrix;
   util::Json stage_metrics;
   double sharded1_at[9] = {0.0};  // indexed by thread count
-  double sharded8_at8 = 0.0, sharded8_at_max = 0.0;
+  double sharded8_at8 = 0.0;
   for (int threads : thread_counts) {
     for (std::size_t shards : shard_counts) {
       const bool acceptance_cell = threads == max_threads && shards == 8;
-      RunResult r = run_sharded(shards, threads, reports, /*queue=*/true,
+      RunResult r = run_sharded(shards, threads, reports,
                                 acceptance_cell ? &stage_metrics : nullptr);
       print_run(r);
       if (shards == 1) sharded1_at[threads] = r.reports_per_sec;
       if (shards == 8 && threads == 8) sharded8_at8 = r.reports_per_sec;
-      if (shards == 8 && threads == max_threads) {
-        sharded8_at_max = r.reports_per_sec;
-      }
       matrix.push_back(std::move(r));
     }
   }
 
-  // Queue-off comparison: what batching buys at the contended corner.
-  const RunResult direct =
-      run_sharded(8, max_threads, reports, /*queue=*/false);
-  print_run(direct);
-
   // --- Gates.
-  const double legacy_speedup = sharded8_at_max / baseline.reports_per_sec;
-  const bool legacy_pass = legacy_speedup >= 3.0;
-
   const bool multicore_enforced = cores >= 4;
   const double multicore_ratio =
       sharded1_at[8] > 0.0 ? sharded8_at8 / sharded1_at[8] : 0.0;
@@ -365,26 +293,13 @@ int main(int argc, char** argv) {
   }
 
   util::JsonArray out_runs;
-  out_runs.push_back(run_to_json(baseline, reports, 0.0));
-  for (const RunResult& r : matrix) {
-    out_runs.push_back(run_to_json(r, reports, baseline.reports_per_sec));
-  }
-  out_runs.push_back(run_to_json(direct, reports, baseline.reports_per_sec));
+  for (const RunResult& r : matrix) out_runs.push_back(run_to_json(r, reports));
 
   util::JsonObject root;
   root["bench"] = std::string("load_concurrent");
   root["hardware_concurrency"] = static_cast<std::size_t>(cores);
   root["reports_per_thread"] = reports;
   root["reps_best_of"] = static_cast<std::size_t>(kReps);
-  {
-    core::OakConfig defaults;
-    util::JsonObject q;
-    q["enabled"] = defaults.ingest_queue.enabled;
-    q["depth"] = defaults.ingest_queue.depth;
-    q["max_batch"] = defaults.ingest_queue.max_batch;
-    q["handoff_after"] = defaults.ingest_queue.handoff_after;
-    root["queue"] = std::move(q);
-  }
   root["runs"] = std::move(out_runs);
   root["metrics"] = std::move(stage_metrics);
 
@@ -394,13 +309,6 @@ int main(int argc, char** argv) {
   // should never mistake "could not measure" for "measured and fine".
   util::JsonObject acceptance;
   acceptance["hardware_concurrency"] = static_cast<std::size_t>(cores);
-  {
-    util::JsonObject g;
-    g["speedup"] = legacy_speedup;
-    g["required"] = 3.0;
-    g["status"] = std::string(legacy_pass ? "pass" : "fail");
-    acceptance["legacy_vs_single_mutex"] = std::move(g);
-  }
   {
     util::JsonObject g;
     g["enforced"] = multicore_enforced;
@@ -424,9 +332,7 @@ int main(int argc, char** argv) {
   std::ofstream("BENCH_concurrency.json")
       << util::Json(std::move(root)).dump_pretty(2) << "\n";
 
-  std::printf("\nlegacy: sharded-8 vs single-mutex at %dT: %.2fx "
-              "(>= 3.00x) -> %s\n",
-              max_threads, legacy_speedup, legacy_pass ? "PASS" : "FAIL");
+  std::printf("\n");
   if (multicore_enforced) {
     std::printf("multicore: sharded-8 vs sharded-1 at 8T: %.2fx (>= 3.00x, "
                 "%u cores) -> %s\n",
@@ -442,6 +348,6 @@ int main(int argc, char** argv) {
               floor_pass ? "PASS" : "FAIL");
   std::printf("wrote BENCH_concurrency.json\n");
 
-  const bool ok = legacy_pass && multicore_pass && floor_pass;
+  const bool ok = multicore_pass && floor_pass;
   return ok ? 0 : 1;
 }

@@ -78,9 +78,6 @@ ShardedOakServer::ShardedOakServer(page::WebUniverse& universe,
                                    std::size_t num_shards)
     : universe_(universe), site_host_(std::move(site_host)), cfg_(cfg) {
   if (num_shards == 0) num_shards = 1;
-  // A zero bound would deadlock the first producer; a zero batch would spin.
-  if (cfg_.ingest_queue.depth == 0) cfg_.ingest_queue.depth = 1;
-  if (cfg_.ingest_queue.max_batch == 0) cfg_.ingest_queue.max_batch = 1;
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -98,19 +95,6 @@ ShardedOakServer::ShardedOakServer(page::WebUniverse& universe,
     }
     shard->server = std::make_unique<OakServer>(universe_, site_host_,
                                                 shard_cfg);
-    if (cfg_.metrics && cfg_.ingest_queue.enabled) {
-      // Queue health lives in the shard's own registry so the merged
-      // snapshot (and the bench JSON) carries it per fleet: depth gauges sum
-      // across shards, batch-size histograms merge by addition.
-      obs::MetricsRegistry& reg = shard->server->metrics_registry();
-      shard->q_depth = &reg.gauge("oak_ingest_queue_depth");
-      // 1..64 in doubling buckets — batch sizes, not latencies.
-      shard->q_batch_size = &reg.histogram("oak_ingest_batch_size",
-                                           obs::HistogramSpec{1.0, 2.0, 7});
-      shard->q_enqueued = &reg.counter("oak_ingest_enqueued_total");
-      shard->q_batches = &reg.counter("oak_ingest_batches_total");
-      shard->q_backpressure = &reg.counter("oak_ingest_backpressure_total");
-    }
     shards_.push_back(std::move(shard));
   }
   if (cfg_.durability.enabled) enable_durability_();
@@ -291,48 +275,8 @@ http::Response ShardedOakServer::handle_for_user(const http::Request& req,
     std::shared_lock<std::shared_mutex> rules_lock(rules_mu_);
     const std::size_t shard_index = shard_for(uid);
     Shard& shard = *shards_[shard_index];
-
-    PendingOp op;
-    op.req = effective;
-    op.now = now;
-    op.uid = &uid;
-    op.fresh = fresh;
-    op.minted = minted;
-
-    if (!cfg_.ingest_queue.enabled) {
-      // Direct mode: the pre-queue behavior — one lock acquisition per
-      // request, no batching.
-      auto shard_lock = lock_shard(shard);
-      execute_op(shard_index, shard, op);
-    } else {
-      std::unique_lock<std::mutex> ql(shard.qmu);
-      // Back-pressure: a full queue blocks the producer until a batch
-      // drains. Ops live on producer stacks, so this bounds batch latency
-      // and combiner turn length, not memory.
-      if (shard.queue.size() >= cfg_.ingest_queue.depth) {
-        if (shard.q_backpressure != nullptr) shard.q_backpressure->inc();
-        shard.qcv.wait(ql, [&] {
-          return shard.queue.size() < cfg_.ingest_queue.depth;
-        });
-      }
-      shard.queue.push_back(&op);
-      shard.q_pending.store(shard.queue.size(), std::memory_order_relaxed);
-      if (shard.q_enqueued != nullptr) shard.q_enqueued->inc();
-      if (shard.q_depth != nullptr) {
-        shard.q_depth->set(static_cast<double>(shard.queue.size()));
-      }
-      while (!op.done) {
-        if (!shard.combiner_active) {
-          // Become the combiner: drain the queue (our own op included) in
-          // batches, one shard-lock acquisition per batch.
-          shard.combiner_active = true;
-          combine(shard_index, shard, ql, op);
-        } else {
-          shard.qcv.wait(ql);
-        }
-      }
-    }
-    resp = std::move(op.resp);
+    auto shard_lock = lock_shard(shard);
+    resp = execute_op(shard_index, shard, *effective, now, uid, fresh, minted);
   }
   // Threshold compaction runs outside the serving locks; one thread wins
   // the flag and pays the pause, the rest keep serving. The reset is
@@ -354,96 +298,37 @@ http::Response ShardedOakServer::handle_for_user(const http::Request& req,
   return resp;
 }
 
-void ShardedOakServer::execute_op(std::size_t shard_index, Shard& shard,
-                                  PendingOp& op) {
+http::Response ShardedOakServer::execute_op(std::size_t shard_index,
+                                            Shard& shard,
+                                            const http::Request& req,
+                                            double now, const std::string& uid,
+                                            bool fresh, std::uint64_t minted) {
   shard.handled.fetch_add(1, std::memory_order_relaxed);
-  op.resp = shard.server->handle(*op.req, op.now);
-  const bool tracked = shard.server->profile(*op.uid) != nullptr;
+  http::Response resp = shard.server->handle(req, now);
+  const bool tracked = shard.server->profile(uid) != nullptr;
   // Only advertise the minted id if the core actually kept a profile (a
   // 404 or a disabled Oak tracks nobody and should set no cookie).
-  if (op.fresh && tracked) {
-    op.resp.headers.add("Set-Cookie",
-                        std::string(http::kOakUserCookie) + "=" + *op.uid);
+  if (fresh && tracked) {
+    resp.headers.add("Set-Cookie",
+                     std::string(http::kOakUserCookie) + "=" + uid);
   }
   // Journal under the shard lock already held. `fresh` requests are
   // journaled even when untracked: the minted counter value must survive a
   // crash or recovery would re-issue the same uid to a different user.
-  if (dur_ && dur_->recording() && (op.fresh || tracked)) {
-    const std::string path = op.req->url.to_string();
+  if (dur_ && dur_->recording() && (fresh || tracked)) {
+    const std::string path = req.url.to_string();
     durability::RequestRecordView rec;
     rec.seq = dur_->next_seq();
-    rec.now = op.now;
-    rec.post = op.req->method == http::Method::kPost;
-    rec.minted = op.minted;
-    rec.uid = *op.uid;
-    rec.client_ip = op.req->client_ip;
+    rec.now = now;
+    rec.post = req.method == http::Method::kPost;
+    rec.minted = minted;
+    rec.uid = uid;
+    rec.client_ip = req.client_ip;
     rec.path = path;
-    rec.body = op.req->body;
+    rec.body = req.body;
     dur_->append_request(shard_index, rec);
   }
-}
-
-void ShardedOakServer::combine(std::size_t shard_index, Shard& shard,
-                               std::unique_lock<std::mutex>& ql,
-                               PendingOp& own) {
-  const std::size_t max_batch = cfg_.ingest_queue.max_batch;
-  std::vector<PendingOp*> batch;
-  batch.reserve(max_batch);
-  std::size_t processed = 0;
-  while (!shard.queue.empty()) {
-    // Claim a batch in enqueue order — per-shard FIFO, so a user's requests
-    // (one in flight at a time; producers block until done) execute in the
-    // order they arrived, exactly as direct mode would.
-    const std::size_t n = std::min(shard.queue.size(), max_batch);
-    batch.assign(shard.queue.begin(),
-                 shard.queue.begin() + static_cast<std::ptrdiff_t>(n));
-    shard.queue.erase(shard.queue.begin(),
-                      shard.queue.begin() + static_cast<std::ptrdiff_t>(n));
-    shard.q_pending.store(shard.queue.size(), std::memory_order_relaxed);
-    if (shard.q_depth != nullptr) {
-      shard.q_depth->set(static_cast<double>(shard.queue.size()));
-    }
-    ql.unlock();
-    {
-      // One lock acquisition amortized over the whole batch — the point of
-      // the exercise. qmu is never held across this region.
-      auto shard_lock = lock_shard(shard);
-      for (PendingOp* op : batch) execute_op(shard_index, shard, *op);
-    }
-    ql.lock();
-    for (PendingOp* op : batch) op->done = true;
-    if (shard.q_batches != nullptr) shard.q_batches->inc();
-    if (shard.q_batch_size != nullptr) {
-      shard.q_batch_size->observe(static_cast<double>(n));
-    }
-    // Wake completed producers and anyone blocked on back-pressure.
-    shard.qcv.notify_all();
-    processed += n;
-    // Hand off once our own request is served and we've done a fair share:
-    // a woken producer (or the next arrival) takes over the role.
-    if (own.done && processed >= cfg_.ingest_queue.handoff_after) break;
-  }
-  shard.combiner_active = false;
-  if (!shard.queue.empty()) shard.qcv.notify_all();
-}
-
-double ShardedOakServer::ingest_pressure() const {
-  if (!cfg_.ingest_queue.enabled || cfg_.ingest_queue.depth == 0) return 0.0;
-  std::size_t worst = 0;
-  for (const auto& shard : shards_) {
-    worst = std::max(worst,
-                     shard->q_pending.load(std::memory_order_relaxed));
-  }
-  return std::min(1.0, static_cast<double>(worst) /
-                           static_cast<double>(cfg_.ingest_queue.depth));
-}
-
-std::size_t ShardedOakServer::ingest_queue_pending() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->q_pending.load(std::memory_order_relaxed);
-  }
-  return total;
+  return resp;
 }
 
 void ShardedOakServer::install() {
@@ -650,8 +535,7 @@ obs::MetricsSnapshot ShardedOakServer::metrics_snapshot() const {
   // Incremental per-shard cut: lock one shard, fold it in, release, move
   // on. Counters are monotone and gauges merge by addition, so the merged
   // view is a valid (slightly time-skewed) observation — not worth stalling
-  // the whole serving plane for, the way an all-shard cut would while a
-  // combiner holds a shard lock for a full batch.
+  // the whole serving plane for, the way an all-shard cut would.
   obs::MetricsSnapshot merged;
   for (const auto& shard : shards_) {
     auto lock = lock_shard(*shard);

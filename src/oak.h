@@ -22,12 +22,11 @@
 #include "browser/browser.h"  // IWYU pragma: export
 
 // Oak proper.
-#include "core/analytics.h"          // IWYU pragma: export
-#include "core/concurrent_server.h"  // IWYU pragma: export
-#include "core/fleet.h"              // IWYU pragma: export
-#include "core/oak_server.h"         // IWYU pragma: export
-#include "core/rule_parser.h"        // IWYU pragma: export
-#include "core/trace.h"              // IWYU pragma: export
+#include "core/analytics.h"    // IWYU pragma: export
+#include "core/fleet.h"        // IWYU pragma: export
+#include "core/oak_server.h"   // IWYU pragma: export
+#include "core/rule_parser.h"  // IWYU pragma: export
+#include "core/trace.h"        // IWYU pragma: export
 
 // Experiment scaffolding (vantage points, scenario builders, survey).
 #include "workload/existing_experiment.h"  // IWYU pragma: export

@@ -18,9 +18,9 @@
 //          │    │
 //          │    └── report POSTs: shard-affine — hash the oak_uid (cookie
 //          │        or minted) to its shard and run the request inline on
-//          │        the loop thread through that shard's combining queue
+//          │        the loop thread under that shard's lock
 //          │        (ShardedOakServer::handle_for_user), so a connection's
-//          │        reports land on their shard with one hand-off instead
+//          │        reports land on their shard with no hand-off instead
 //          │        of loop → worker → completion cross-core bounces.
 //          └────── pages/admin: shared dispatch queue ──► worker pool
 //                    completions (per-loop eventfd) ◄── serialized responses
@@ -35,13 +35,14 @@
 //    header deadline while the head trickles in, idle deadline between
 //    keep-alive requests, write deadline while a response drains. Expiry
 //    answers 408 (header) or just closes (idle/write).
-//  * Overload: three shedding layers, all before work is admitted —
-//    accept-time connection cap across all loops (immediate 503 + close),
-//    dispatch-queue depth (503 + Retry-After), and ingest-queue
-//    backpressure (ShardedOakServer::ingest_pressure() ≥ threshold → 503 +
-//    Retry-After on report POSTs). Load the server cannot serve is refused
-//    in O(1) instead of queueing into collapse (bench/load_wire's open-loop
-//    sweep gates goodput under 2× overload and the multi-loop knee).
+//  * Overload: two shedding layers, both before work is admitted —
+//    accept-time connection cap across all loops (immediate 503 + close)
+//    and dispatch-queue depth (503 + Retry-After). Inline report POSTs
+//    need no layer of their own: each loop runs at most one at a time, so
+//    at most loops + worker_threads callers ever wait on shard locks.
+//    Load the server cannot serve is refused in O(1) instead of queueing
+//    into collapse (bench/load_wire's open-loop sweep gates goodput under
+//    2× overload and the multi-loop knee).
 //  * Shutdown: request_drain() (or SIGTERM via install_signal_drain) makes
 //    every loop stop accepting, lets in-flight requests finish within
 //    drain_deadline_s, then runs on_drained once all loops and workers have
@@ -96,8 +97,8 @@ struct WireConfig {
   // its own SO_REUSEPORT listener and owns its connections end to end.
   std::size_t loops = 0;
 
-  // Run report POSTs inline on the owning loop thread through the uid's
-  // shard combining queue (shard-affine dispatch). Off = every request
+  // Run report POSTs inline on the owning loop thread under the uid's
+  // shard lock (shard-affine dispatch). Off = every request
   // takes the worker-pool path, as the PR-8 single-loop front-end did.
   bool affine_ingest = true;
 
@@ -107,10 +108,6 @@ struct WireConfig {
   std::size_t worker_threads = 4;
   // Parsed requests waiting for a worker before new ones are shed 503.
   std::size_t dispatch_depth = 256;
-  // Shed report POSTs with 503 + Retry-After once the fullest shard's
-  // ingest queue is this full (ShardedOakServer::ingest_pressure()).
-  // ≥ 1.0 never sheds on backpressure; 0.0 always sheds (tests).
-  double shed_pressure = 0.9;
   int retry_after_s = 1;
 
   ParserLimits limits;
@@ -268,7 +265,6 @@ class Server {
     obs::Counter* parse_errors = nullptr;
     obs::Counter* shed_conns = nullptr;
     obs::Counter* shed_dispatch = nullptr;
-    obs::Counter* shed_backpressure = nullptr;
     obs::Counter* timeout_header = nullptr;
     obs::Counter* timeout_idle = nullptr;
     obs::Counter* timeout_write = nullptr;

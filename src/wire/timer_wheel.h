@@ -9,9 +9,12 @@
 // one tick late, never early.
 //
 // Single-threaded by design: owned and driven only by the event loop.
-// Cancellation is generation-based — schedule() and cancel() bump the
-// id's generation, and stale wheel entries are dropped lazily when their
-// slot comes around, so neither operation touches the slot vectors.
+// Cancellation is generation-based — each schedule() stamps its entry with
+// a fresh value of one wheel-wide counter, and an entry whose stamp is no
+// longer its id's current one is dropped lazily when its slot comes
+// around, so neither operation touches the slot vectors. The counter never
+// restarts, so an id that is cancelled and re-armed can never match an
+// entry left over from before the cancel.
 #pragma once
 
 #include <cmath>
@@ -33,9 +36,8 @@ class TimerWheel {
   // Arm (or re-arm) the deadline for `id`. A previously scheduled entry
   // for the same id is invalidated.
   void schedule(std::uint64_t id, double deadline) {
-    auto& st = state_[id];
-    ++st.gen;
-    st.deadline = deadline;
+    const std::uint64_t gen = ++next_gen_;
+    gen_[id] = gen;
     // File at the first tick whose visit time is >= the deadline (ceil,
     // not floor): the cursor reaches tick T once now >= T*tick_s_, so a
     // floor-filed interior deadline would be visited before it is due and
@@ -50,13 +52,13 @@ class TimerWheel {
         tick <= last_tick_) {
       tick = last_tick_ + 1;
     }
-    wheel_[slot_index(tick)].push_back(Entry{id, st.gen, deadline});
+    wheel_[slot_index(tick)].push_back(Entry{id, gen, deadline});
   }
 
-  void cancel(std::uint64_t id) { state_.erase(id); }
+  void cancel(std::uint64_t id) { gen_.erase(id); }
 
-  bool armed(std::uint64_t id) const { return state_.count(id) != 0; }
-  std::size_t armed_count() const { return state_.size(); }
+  bool armed(std::uint64_t id) const { return gen_.count(id) != 0; }
+  std::size_t armed_count() const { return gen_.size(); }
 
   // Total entries filed across all slots, live or stale. Lazy cancellation
   // means this can exceed armed_count() between advances; after a full
@@ -89,12 +91,12 @@ class TimerWheel {
       std::size_t keep = 0;
       for (std::size_t i = 0; i < slot.size(); ++i) {
         Entry e = slot[i];
-        auto it = state_.find(e.id);
-        if (it == state_.end() || it->second.gen != e.gen) {
+        auto it = gen_.find(e.id);
+        if (it == gen_.end() || it->second != e.gen) {
           continue;  // cancelled or re-armed: drop lazily
         }
         if (e.deadline <= now) {
-          state_.erase(it);
+          gen_.erase(it);
           ++fired;
           fn(e.id);
         } else {
@@ -115,10 +117,6 @@ class TimerWheel {
     std::uint64_t gen = 0;
     double deadline = 0.0;
   };
-  struct IdState {
-    std::uint64_t gen = 0;
-    double deadline = 0.0;
-  };
 
   std::int64_t tick_of(double t) const {
     return static_cast<std::int64_t>(t / tick_s_);
@@ -131,7 +129,9 @@ class TimerWheel {
   double tick_s_;
   std::size_t slots_;
   std::vector<std::vector<Entry>> wheel_;
-  std::unordered_map<std::uint64_t, IdState> state_;
+  // Live ids → the generation of their one armed entry.
+  std::unordered_map<std::uint64_t, std::uint64_t> gen_;
+  std::uint64_t next_gen_ = 0;
   std::int64_t last_tick_ = std::numeric_limits<std::int64_t>::min();
 };
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <thread>
 
-#include "core/concurrent_server.h"
 #include "core/sharded_server.h"
 #include "http/cookies.h"
 
@@ -127,53 +126,63 @@ class ShardedFixture : public ::testing::Test {
   OakConfig cfg_;
 };
 
+// Eight shards spread the users; one shard makes all eight threads contend
+// for a single lock on every request.
 TEST_F(ShardedFixture, StressMatchesSingleThreadedReplay) {
-  ShardedOakServer sharded(universe_, "busy.com", cfg_, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
   OakServer replay(universe_, "busy.com", cfg_);
   replay.add_rules(rules());
   run_replay(replay);
 
   constexpr std::size_t kUsers = std::size_t(kThreads) * 2;
   constexpr std::size_t kReports = kUsers * kIterations;
-  EXPECT_EQ(sharded.user_count(), kUsers);
-  EXPECT_EQ(sharded.reports_processed(), kReports);
   EXPECT_EQ(replay.reports_processed(), kReports);
+  const util::Json replay_snap = replay.export_state();
 
-  // Profiles must be byte-identical to the sequential outcome: per-user
-  // state never crosses users, so interleaving cannot change it.
-  util::Json sharded_snap = sharded.export_state();
-  util::Json replay_snap = replay.export_state();
-  EXPECT_TRUE(sharded_snap.at("users") == replay_snap.at("users"));
+  for (std::size_t shards : {std::size_t{8}, std::size_t{1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedOakServer sharded(universe_, "busy.com", cfg_, shards);
+    sharded.add_rules(rules());
+    run_concurrent(sharded);
 
-  // Both rules end active for every user (tier 2 and tier 3 paths).
-  for (int t = 0; t < kThreads; ++t) {
-    for (int u = 0; u < 2; ++u) {
-      auto p = sharded.profile(uid_for(t, u));
-      ASSERT_TRUE(p.has_value());
-      EXPECT_EQ(p->active.size(), 2u);
-      EXPECT_EQ(p->reports_received, std::size_t(kIterations));
-      EXPECT_EQ(p->pages_served, std::size_t(kIterations));
+    EXPECT_EQ(sharded.user_count(), kUsers);
+    EXPECT_EQ(sharded.reports_processed(), kReports);
+    // One page serve and one report per iteration, each handled once.
+    EXPECT_EQ(sharded.metrics_snapshot().counter("oak_requests_total"),
+              kReports * 2);
+
+    // Profiles must be byte-identical to the sequential outcome: per-user
+    // state never crosses users, so interleaving cannot change it.
+    util::Json sharded_snap = sharded.export_state();
+    EXPECT_TRUE(sharded_snap.at("users") == replay_snap.at("users"));
+
+    // Both rules end active for every user (tier 2 and tier 3 paths).
+    for (int t = 0; t < kThreads; ++t) {
+      for (int u = 0; u < 2; ++u) {
+        auto p = sharded.profile(uid_for(t, u));
+        ASSERT_TRUE(p.has_value());
+        EXPECT_EQ(p->active.size(), 2u);
+        EXPECT_EQ(p->reports_received, std::size_t(kIterations));
+        EXPECT_EQ(p->pages_served, std::size_t(kIterations));
+      }
     }
-  }
 
-  // Decision totals match the replay type-for-type, and the replay
-  // contexts merge alongside them in one global time order.
-  const DecisionLog merged = sharded.merged_decision_log();
-  EXPECT_EQ(merged.size(), replay.decision_log().size());
-  EXPECT_EQ(merged.contexts().size(), replay.decision_log().contexts().size());
-  EXPECT_FALSE(merged.contexts().empty());
-  for (std::size_t i = 1; i < merged.contexts().size(); ++i) {
-    EXPECT_LE(merged.contexts()[i - 1].time, merged.contexts()[i].time);
-  }
-  for (DecisionType type :
-       {DecisionType::kActivate, DecisionType::kDeactivate,
-        DecisionType::kAdvanceAlternative, DecisionType::kKeepAlternative,
-        DecisionType::kExpire, DecisionType::kServeModified}) {
-    EXPECT_EQ(merged.count(type), replay.decision_log().count(type))
-        << to_string(type);
+    // Decision totals match the replay type-for-type, and the replay
+    // contexts merge alongside them in one global time order.
+    const DecisionLog merged = sharded.merged_decision_log();
+    EXPECT_EQ(merged.size(), replay.decision_log().size());
+    EXPECT_EQ(merged.contexts().size(),
+              replay.decision_log().contexts().size());
+    EXPECT_FALSE(merged.contexts().empty());
+    for (std::size_t i = 1; i < merged.contexts().size(); ++i) {
+      EXPECT_LE(merged.contexts()[i - 1].time, merged.contexts()[i].time);
+    }
+    for (DecisionType type :
+         {DecisionType::kActivate, DecisionType::kDeactivate,
+          DecisionType::kAdvanceAlternative, DecisionType::kKeepAlternative,
+          DecisionType::kExpire, DecisionType::kServeModified}) {
+      EXPECT_EQ(merged.count(type), replay.decision_log().count(type))
+          << to_string(type);
+    }
   }
 }
 
@@ -365,120 +374,6 @@ TEST_F(ShardedFixture, MergedMetricsCoverAllStagesUnderConcurrency) {
     const util::Json j = util::Json::parse(sharded.metrics_json().dump());
     EXPECT_EQ(j.at("counters").at("oak_reports_ingested_total").as_int(),
               static_cast<std::int64_t>(kReports));
-  }
-}
-
-// --- Ingest-queue variants. The batched hand-off (DESIGN.md §6) must be
-// invisible to state: per-shard FIFO execution plus one-request-in-flight
-// per user means every queue shape below produces the byte-identical
-// profiles of a sequential replay.
-
-// depth=2 / max_batch=1 maximizes contention on the queue itself: producers
-// hit the backpressure wait constantly and every op is its own batch.
-TEST_F(ShardedFixture, TinyQueueBackpressureMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.depth = 2;
-  cfg.ingest_queue.max_batch = 1;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  OakServer replay(universe_, "busy.com", cfg_);
-  replay.add_rules(rules());
-  run_replay(replay);
-  EXPECT_TRUE(sharded.export_state().at("users") ==
-              replay.export_state().at("users"));
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    // max_batch=1: the combiner claims exactly one op per batch.
-    EXPECT_EQ(snap.counter("oak_ingest_batches_total"), kRequests);
-  }
-}
-
-// One shard funnels all 16 users through a single queue with wide batches —
-// the shape where the combiner actually amortizes: many ops per shard-lock
-// acquisition.
-TEST_F(ShardedFixture, LargeBatchSingleShardMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.depth = 512;
-  cfg.ingest_queue.max_batch = 64;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 1);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  OakServer replay(universe_, "busy.com", cfg_);
-  replay.add_rules(rules());
-  run_replay(replay);
-  EXPECT_TRUE(sharded.export_state().at("users") ==
-              replay.export_state().at("users"));
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    const std::uint64_t batches = snap.counter("oak_ingest_batches_total");
-    EXPECT_GE(batches, 1u);
-    EXPECT_LE(batches, kRequests);
-    // Every enqueued op lands in exactly one batch.
-    const obs::HistogramSnapshot* sizes =
-        snap.histogram("oak_ingest_batch_size");
-    ASSERT_NE(sizes, nullptr);
-    EXPECT_EQ(sizes->count(), batches);
-    EXPECT_DOUBLE_EQ(sizes->sum, double(kRequests));
-  }
-}
-
-// Kill switch: ingest_queue.enabled=false reverts to lock-per-request and
-// must still match the replay — and register no queue instruments.
-TEST_F(ShardedFixture, QueueDisabledDirectModeMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.enabled = false;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  OakServer replay(universe_, "busy.com", cfg_);
-  replay.add_rules(rules());
-  run_replay(replay);
-  EXPECT_TRUE(sharded.export_state().at("users") ==
-              replay.export_state().at("users"));
-
-  obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-  EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), 0u);
-  EXPECT_EQ(snap.histogram("oak_ingest_batch_size"), nullptr);
-}
-
-// Default queue configuration: every request is accounted for exactly once
-// across the queue-health instruments, and the depth gauge drains to zero
-// once the fleet goes quiet.
-TEST_F(ShardedFixture, QueueMetricsAccountForEveryRequest) {
-  ShardedOakServer sharded(universe_, "busy.com", cfg_, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    const std::uint64_t batches = snap.counter("oak_ingest_batches_total");
-    EXPECT_GE(batches, 1u);
-    EXPECT_LE(batches, kRequests);
-    const obs::HistogramSnapshot* sizes =
-        snap.histogram("oak_ingest_batch_size");
-    ASSERT_NE(sizes, nullptr);
-    EXPECT_EQ(sizes->count(), batches);
-    EXPECT_DOUBLE_EQ(sizes->sum, double(kRequests));
-    // All queues are empty at rest (per-shard gauges merge by addition).
-    EXPECT_DOUBLE_EQ(snap.gauge("oak_ingest_queue_depth"), 0.0);
-    // Backpressure is workload-dependent; the counter just has to exist and
-    // render (it does, at zero or more).
-    EXPECT_LE(snap.counter("oak_ingest_backpressure_total"), kRequests);
   }
 }
 

@@ -107,6 +107,13 @@ struct BadCase {
   int status;
 };
 
+// gtest's fallback printer dumps the struct's raw bytes, pointers included,
+// so `--gtest_list_tests` (and the CTest names discovered from it) would
+// change with every process's address layout. Print stable fields instead.
+void PrintTo(const BadCase& c, std::ostream* os) {
+  *os << c.label << " -> " << c.status;
+}
+
 class WireParserBad : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(WireParserBad, RejectsWithStatus) {

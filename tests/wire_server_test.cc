@@ -1,5 +1,5 @@
 // oak::wire::Server over real sockets: routing, hostile-input behavior,
-// slowloris deadlines, the three shedding layers, pipelining, and graceful
+// slowloris deadlines, the two shedding layers, pipelining, and graceful
 // drain (including the WAL-verified zero-acknowledged-loss property).
 #include <gtest/gtest.h>
 
@@ -310,23 +310,36 @@ TEST_F(WireFixture, DispatchDepthSheds503) {
             1u);
 }
 
-TEST_F(WireFixture, BackpressureShedsReportsButServesPages) {
+// A busy keep-alive connection outlives its header deadline. Every request
+// cancels the connection's deadline and every response re-arms the idle
+// one; the header deadline armed at accept must stay dead through that
+// churn rather than closing the connection mid-stream once it comes due.
+TEST_F(WireFixture, BusyKeepAliveOutlivesHeaderDeadline) {
   WireConfig wc;
-  wc.shed_pressure = 0.0;  // treat any pressure (even 0) as overload
+  wc.header_deadline_s = 0.3;
   boot(wc);
   BlockingClient cli = client();
-  auto post =
-      cli.request("POST", "/oak/report", {{"Host", "busy.com"}}, report_wire());
-  ASSERT_TRUE(post.has_value());
-  EXPECT_EQ(post->status, 503);
-  EXPECT_EQ(oak_->reports_processed(), 0u);
-
-  auto get = cli.request("GET", site_.index_path, {{"Host", "busy.com"}});
-  ASSERT_TRUE(get.has_value());
-  EXPECT_EQ(get->status, 200);  // page plane unaffected
-  EXPECT_GE(
-      srv_->metrics_snapshot().counter("oak_wire_shed_backpressure_total"),
-      1u);
+  const std::string body = report_wire();
+  const std::string cookie = std::string(http::kOakUserCookie) + "=ka-user";
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t sent = 0;
+  while (std::chrono::steady_clock::now() - t0 < std::chrono::seconds(1)) {
+    const bool post = sent % 2 == 1;
+    auto resp = post ? cli.request("POST", "/oak/report",
+                                   {{"Host", "busy.com"}, {"Cookie", cookie}},
+                                   body)
+                     : cli.request("GET", site_.index_path,
+                                   {{"Host", "busy.com"}, {"Cookie", cookie}});
+    ASSERT_TRUE(resp.has_value()) << "no reply to request " << sent;
+    EXPECT_LT(resp->status, 400) << "request " << sent;
+    EXPECT_TRUE(resp->keep_alive) << "request " << sent;
+    ++sent;
+  }
+  EXPECT_GT(sent, 10u);
+  const obs::MetricsSnapshot snap = srv_->metrics_snapshot();
+  EXPECT_EQ(snap.counter("oak_wire_timeout_header_total"), 0u);
+  EXPECT_EQ(snap.counter("oak_wire_timeout_idle_total"), 0u);
+  EXPECT_EQ(snap.counter("oak_wire_conns_closed_total"), 0u);
 }
 
 TEST_F(WireFixture, SigtermDrainsAndRunsOnDrained) {

@@ -34,6 +34,21 @@ TEST(TimerWheel, CancelSuppresses) {
   EXPECT_TRUE(fire(w, 1.0).empty());
 }
 
+// Cancel then re-arm: the entry filed before the cancel must stay dead.
+// The wire server cancels before every request and re-arms after every
+// response, so a stale entry firing would cut a busy keep-alive
+// connection.
+TEST(TimerWheel, CancelThenRearmIgnoresPreCancelEntry) {
+  TimerWheel w(0.05);
+  fire(w, 0.0);  // establish the cursor, as the event loop does
+  w.schedule(7, 5.0);
+  w.cancel(7);
+  w.schedule(7, 35.0);
+  EXPECT_TRUE(fire(w, 5.1).empty());
+  EXPECT_TRUE(w.armed(7));
+  EXPECT_EQ(fire(w, 35.1).size(), 1u);
+}
+
 TEST(TimerWheel, RearmSupersedesOldDeadline) {
   TimerWheel w(0.05);
   w.schedule(3, 0.5);
